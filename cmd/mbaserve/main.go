@@ -24,13 +24,15 @@
 // .jsonl and .mbaj segments — replays transparently.  Appends are group-
 // committed: concurrent submits coalesce into one write + one fsync.
 //
-// With -shards N the market is partitioned into N shard markets (tasks by
-// category, workers resident in every shard of their specialties), each
-// with its own state, segmented journal and checkpoints under
-// <snapshot-dir>/shard-%04d (shard-0000, shard-0001, …), solved per round
-// with its own solver instance and merged through the cross-shard
-// reconciliation pass.  The API is unchanged.  -journal (single-file
-// mode) is incompatible with -shards.
+// The market is served by one backend partitioned into -shards N shard
+// markets (tasks by category, workers resident in every shard of their
+// specialties); N = 1, the default, is the single market.  Each shard has
+// its own state, journal, checkpoints and solver instance, and a round
+// solves the shards concurrently and merges them through the cross-shard
+// reconciliation pass.  A one-shard market keeps its segmented journal and
+// snapshots in the root of -snapshot-dir; with N > 1 shard k's live under
+// <snapshot-dir>/shard-%04d (shard-0000, shard-0001, …).  The API is the
+// same at every N.  -journal (single-file mode) needs -shards 1.
 //
 // Admission control is on by default: every route passes a priority-
 // aware admission controller (per-class token buckets keyed by the
@@ -341,108 +343,61 @@ func main() {
 		}()
 	}
 
-	var backend platform.Backend
-	// Shutdown resources, filled by whichever mode is assembled below.
+	// Shutdown resources, filled while the shards are assembled below.
 	var jfile *os.File                // single-file journal handle
-	var segs []*platform.SegmentedLog // segmented journals (1 or N)
+	var segs []*platform.SegmentedLog // segmented journals, one per shard
 	var cms []*platform.CheckpointManager
 
-	if *numShards > 1 {
-		bundles := make([]platform.Shard, *numShards)
-		var states []*platform.State
-		if *snapshotDir != "" {
-			var infos []*platform.RecoveryInfo
-			states, infos, err = platform.RecoverShardedDir(*snapshotDir, *categories, *numShards)
-			if err != nil {
-				log.Fatalf("mbaserve: recovering %s: %v", *snapshotDir, err)
-			}
-			for k, info := range infos {
-				for _, p := range info.CorruptSnapshots {
-					log.Printf("mbaserve: shard %d recovery skipped corrupt snapshot %s", k, p)
-				}
-				if info.TailDropped != nil {
-					log.Printf("mbaserve: shard %d recovery dropped torn journal tail: %v", k, info.TailDropped)
-				}
-				w, t := states[k].Counts()
-				log.Printf("recovered shard %d: %d workers, %d tasks, %d rounds (+%d events from %d segments)",
-					k, w, t, states[k].Rounds(), info.EventsReplayed, info.SegmentsReplayed)
-			}
-		} else {
-			states = make([]*platform.State, *numShards)
-			for k := range states {
-				if states[k], err = platform.NewState(*categories); err != nil {
-					log.Fatalf("mbaserve: %v", err)
-				}
-			}
-		}
-		for k := range bundles {
-			solver, err := buildSolver(*solverName, *fallbackChain, *roundDeadline)
-			if err != nil {
-				log.Fatalf("mbaserve: %v", err)
-			}
-			bundles[k] = platform.Shard{State: states[k], Solver: solver}
-			if *snapshotDir != "" {
-				seg, err := platform.OpenSegmentedLog(platform.ShardDir(*snapshotDir, k), platform.SegmentOptions{
-					MaxBytes: *segmentBytes,
-					Log:      logOpts,
-				})
-				if err != nil {
-					log.Fatalf("mbaserve: opening shard %d journal: %v", k, err)
-				}
-				cm, err := platform.NewCheckpointManager(states[k], seg, platform.CheckpointOptions{
-					EveryRounds: *snapshotEvery,
-					Keep:        *snapshotKeep,
-				})
-				if err != nil {
-					log.Fatalf("mbaserve: %v", err)
-				}
-				bundles[k].Journal = seg
-				bundles[k].Checkpoint = cm
-				segs = append(segs, seg)
-				cms = append(cms, cm)
-			}
-		}
-		ss, err := platform.NewShardedService(bundles, params, platform.ShardedOptions{}, *seed)
-		if err != nil {
-			log.Fatalf("mbaserve: %v", err)
-		}
-		backend = ss
-	} else {
+	// One bundle per shard.  A one-shard market keeps its journal and
+	// snapshots in the root of -snapshot-dir, so single-market data dirs
+	// recover unchanged; shard k of N > 1 lives in ShardDir(root, k).
+	bundles := make([]platform.Shard, *numShards)
+	for k := range bundles {
 		solver, err := buildSolver(*solverName, *fallbackChain, *roundDeadline)
 		if err != nil {
 			log.Fatalf("mbaserve: %v", err)
 		}
-		var state *platform.State
-		var jnl platform.Journal
+		bundles[k].Solver = solver
 		switch {
 		case *snapshotDir != "":
+			dir := *snapshotDir
+			if *numShards > 1 {
+				dir = platform.ShardDir(dir, k)
+			}
 			// O(state + tail) recovery: newest valid snapshot, then only the
 			// journal segments written after it.
-			var info *platform.RecoveryInfo
-			state, info, err = platform.RecoverDir(*snapshotDir, *categories)
+			state, info, err := platform.RecoverDir(dir, *categories)
 			if err != nil {
-				log.Fatalf("mbaserve: recovering %s: %v", *snapshotDir, err)
+				log.Fatalf("mbaserve: recovering %s: %v", dir, err)
 			}
 			for _, p := range info.CorruptSnapshots {
-				log.Printf("mbaserve: recovery skipped corrupt snapshot %s", p)
+				log.Printf("mbaserve: recovery of %s skipped corrupt snapshot %s", dir, p)
 			}
 			if info.TailDropped != nil {
-				log.Printf("mbaserve: recovery dropped torn journal tail: %v", info.TailDropped)
+				log.Printf("mbaserve: recovery of %s dropped torn journal tail: %v", dir, info.TailDropped)
 			}
 			w, t := state.Counts()
-			log.Printf("recovered checkpoint dir: %d workers, %d tasks, %d rounds (snapshot seq %d + %d events from %d segments)",
-				w, t, state.Rounds(), info.Snapshot.Seq, info.EventsReplayed, info.SegmentsReplayed)
+			log.Printf("recovered %s: %d workers, %d tasks, %d rounds (snapshot seq %d + %d events from %d segments)",
+				dir, w, t, state.Rounds(), info.Snapshot.Seq, info.EventsReplayed, info.SegmentsReplayed)
 			// OpenSegmentedLog truncates any torn tail before appending — new
 			// events never land after corrupt bytes.
-			seg, err := platform.OpenSegmentedLog(*snapshotDir, platform.SegmentOptions{
+			seg, err := platform.OpenSegmentedLog(dir, platform.SegmentOptions{
 				MaxBytes: *segmentBytes,
 				Log:      logOpts,
 			})
 			if err != nil {
-				log.Fatalf("mbaserve: opening segmented journal: %v", err)
+				log.Fatalf("mbaserve: opening journal in %s: %v", dir, err)
 			}
-			jnl = seg
+			cm, err := platform.NewCheckpointManager(state, seg, platform.CheckpointOptions{
+				EveryRounds: *snapshotEvery,
+				Keep:        *snapshotKeep,
+			})
+			if err != nil {
+				log.Fatalf("mbaserve: %v", err)
+			}
+			bundles[k].State, bundles[k].Journal, bundles[k].Checkpoint = state, seg, cm
 			segs = append(segs, seg)
+			cms = append(cms, cm)
 		case *journal != "":
 			// Single-file mode: replay tolerating a torn tail from a crash
 			// mid-append, truncate it away, then keep appending.
@@ -453,33 +408,19 @@ func main() {
 			if jf.Dropped != nil {
 				log.Printf("mbaserve: journal recovery: %v (truncated %d torn bytes)", jf.Dropped, jf.Truncated)
 			}
-			state = jf.State
-			w, t := state.Counts()
-			log.Printf("replayed journal: %d workers, %d tasks, %d rounds", w, t, state.Rounds())
-			jnl = jf.Log
+			w, t := jf.State.Counts()
+			log.Printf("replayed journal: %d workers, %d tasks, %d rounds", w, t, jf.State.Rounds())
+			bundles[k].State, bundles[k].Journal = jf.State, jf.Log
 			jfile = jf.File
-		}
-		if state == nil {
-			if state, err = platform.NewState(*categories); err != nil {
+		default:
+			if bundles[k].State, err = platform.NewState(*categories); err != nil {
 				log.Fatalf("mbaserve: %v", err)
 			}
 		}
-		svc, err := platform.NewService(state, solver, params, jnl, *seed)
-		if err != nil {
-			log.Fatalf("mbaserve: %v", err)
-		}
-		if len(segs) == 1 {
-			cm, err := platform.NewCheckpointManager(state, segs[0], platform.CheckpointOptions{
-				EveryRounds: *snapshotEvery,
-				Keep:        *snapshotKeep,
-			})
-			if err != nil {
-				log.Fatalf("mbaserve: %v", err)
-			}
-			svc.SetCheckpointer(cm)
-			cms = append(cms, cm)
-		}
-		backend = svc
+	}
+	backend, err := platform.NewShardedService(bundles, params, platform.ShardedOptions{}, *seed)
+	if err != nil {
+		log.Fatalf("mbaserve: %v", err)
 	}
 
 	// Serve with sane timeouts (a stuck client must not pin a connection

@@ -1,7 +1,7 @@
 package experiments
 
 // The "sharded-round" benchmark suite: end-to-end platform rounds over a
-// platform.ShardedService at 1/2/4/8 shards, same workload, same solver.
+// platform.Service at 1/2/4/8 shards, same workload, same solver.
 // Checked in as BENCH_sharded.json and gated by `mbabench -benchdiff`.
 //
 // What the suite demonstrates is algorithmic, not just parallel: the exact
@@ -60,7 +60,7 @@ func shardedBenchInstance(sc BenchScale, seed uint64) (*market.Instance, error) 
 // journals, no checkpoints — the suite isolates the round protocol from
 // disk I/O, like the "round" suite) and loads the full workload through the
 // routing layer.
-func newBenchShardedService(in *market.Instance, shards int, solverName string, seed uint64) (*platform.ShardedService, error) {
+func newBenchShardedService(in *market.Instance, shards int, solverName string, seed uint64) (*platform.Service, error) {
 	bundles := make([]platform.Shard, shards)
 	for k := range bundles {
 		state, err := platform.NewState(in.NumCategories)

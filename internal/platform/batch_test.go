@@ -137,7 +137,7 @@ func TestServiceSubmitBatchJournalFailureRollsBack(t *testing.T) {
 // newBatchSharded builds a 2-shard sharded service whose shard journals
 // are in-memory logs (shard 1 optionally flaky), returning the pieces the
 // assertions need.
-func newBatchSharded(t *testing.T, cats int, flaky *faultinject.FlakyWriter) (*ShardedService, []*State, []*bytes.Buffer) {
+func newBatchSharded(t *testing.T, cats int, flaky *faultinject.FlakyWriter) (*Service, []*State, []*bytes.Buffer) {
 	t.Helper()
 	const shards = 2
 	states := make([]*State, shards)
@@ -288,13 +288,18 @@ func TestShardedSubmitBatchCompensation(t *testing.T) {
 	// compensation events are journaled like any other.
 	shardStatesMatchJournals(t, cats, states, [][]byte{bufs[0].Bytes(), flakyBuf.Bytes()})
 
-	// Routing tables were not committed: the batch's provisional IDs are
-	// reusable, so an all-shard-0 batch (avoiding the dead journal) works.
-	if _, err := ss.SubmitBatch([]Event{
+	// The routing tables were rolled back, so an all-shard-0 batch
+	// (avoiding the dead journal) works.  The failed batch's IDs stay
+	// spent — shard 0 held them until compensated — so it gets fresh ones.
+	applied, err := ss.SubmitBatch([]Event{
 		NewWorkerJoined(shardedWorker(cats, c0)),
 		NewTaskPosted(shardedTask(c0)),
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if applied[0].Worker.ID != 3 || applied[1].Task.ID != 4 {
+		t.Fatalf("retry got worker %d task %d, want fresh IDs 3 and 4", applied[0].Worker.ID, applied[1].Task.ID)
 	}
 }
 

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -219,5 +220,74 @@ func TestCloseRoundDoesNotBlockSubmits(t *testing.T) {
 	}
 	if out.res.Metrics.Pairs != out.res.StalePairs {
 		t.Fatalf("metrics report %d assigned but %d went stale", out.res.Metrics.Pairs, out.res.StalePairs)
+	}
+}
+
+// countingJournal counts the events appended to it.
+type countingJournal struct{ n atomic.Int64 }
+
+func (j *countingJournal) Append(Event) error { j.n.Add(1); return nil }
+
+func (j *countingJournal) AppendBatch(evs []Event) error { j.n.Add(int64(len(evs))); return nil }
+
+// TestCloseRoundFencedMidSolve pins the fence's second check: a higher
+// epoch observed while a round is solving stops the round before it
+// journals a marker or hands out assignments, at one shard and at several.
+func TestCloseRoundFencedMidSolve(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		released := make(chan struct{})
+		gates := make([]*gatedSolver, n)
+		bundles := make([]Shard, n)
+		journals := make([]*countingJournal, n)
+		for k := range bundles {
+			gates[k] = &gatedSolver{
+				inner:    core.Greedy{Kind: core.MutualWeight},
+				entered:  make(chan struct{}),
+				released: released,
+			}
+			journals[k] = &countingJournal{}
+			bundles[k] = Shard{State: mustState(t), Solver: gates[k], Journal: journals[k]}
+		}
+		svc, err := NewShardedService(bundles, benefit.DefaultParams(), ShardedOptions{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := svc.Submit(NewWorkerJoined(validWorker())); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.Submit(NewTaskPosted(validTask())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appended := make([]int64, n)
+		for k, j := range journals {
+			appended[k] = j.n.Load()
+		}
+
+		done := make(chan error, 1)
+		go func() {
+			_, err := svc.CloseRound()
+			done <- err
+		}()
+		select {
+		case <-gates[0].entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d shard(s): solver never entered", n)
+		}
+		svc.ObserveEpoch(svc.Epoch() + 1)
+		close(released)
+
+		if err := <-done; !errors.Is(err, ErrFenced) {
+			t.Fatalf("%d shard(s): round fenced mid-solve returned %v, want ErrFenced", n, err)
+		}
+		for k := 0; k < n; k++ {
+			if r := svc.ShardState(k).Rounds(); r != 0 {
+				t.Fatalf("%d shard(s): shard %d committed %d round(s) after the fence", n, k, r)
+			}
+			if got := journals[k].n.Load(); got != appended[k] {
+				t.Fatalf("%d shard(s): shard %d journal grew %d -> %d after the fence", n, k, appended[k], got)
+			}
+		}
 	}
 }

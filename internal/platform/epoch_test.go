@@ -142,11 +142,19 @@ func TestServiceFencing(t *testing.T) {
 
 func TestShardedFencingAndEpochRouting(t *testing.T) {
 	ss := newTestShardedService(t, 2, 4, greedySolver, 1)
-	// Epoch bumps have no routing key; a sharded backend refuses them
-	// rather than bumping one arbitrary shard.
+	// An epoch bump is a property of the whole market: it lands on every
+	// shard, and one that does not rise above the current epoch is refused.
+	if _, err := ss.Submit(NewEpochBumped(1)); err != nil {
+		t.Fatalf("sharded epoch bump: %v", err)
+	}
+	for k := 0; k < ss.NumShards(); k++ {
+		if got := ss.ShardState(k).Epoch(); got != 1 {
+			t.Fatalf("shard %d epoch %d after bump, want 1", k, got)
+		}
+	}
 	if _, err := ss.Submit(NewEpochBumped(1)); err == nil ||
-		!strings.Contains(err.Error(), "not routable") {
-		t.Fatalf("sharded epoch bump error %v", err)
+		!strings.Contains(err.Error(), "not above") {
+		t.Fatalf("repeated epoch bump error %v", err)
 	}
 	ss.ObserveEpoch(3)
 	if _, err := ss.Submit(NewWorkerJoined(validWorker())); !errors.Is(err, ErrFenced) {

@@ -64,35 +64,12 @@ func journalPoisoned(j Journal) bool {
 	return ok && p.Poisoned()
 }
 
-// Health implements HealthReporter for the single-market service.
-func (s *Service) Health() HealthStatus {
-	workers, tasks := s.state.Counts()
-	h := HealthStatus{
-		Role:            "primary",
-		LastSeq:         s.state.Seq(),
-		JournalPoisoned: journalPoisoned(s.journal),
-		Workers:         workers,
-		Tasks:           tasks,
-		Rounds:          s.state.Rounds(),
-		Epoch:           s.state.Epoch(),
-		PromotedAtSeq:   s.PromotedAtSeq(),
-	}
-	h.Fenced, h.FencedBy = s.FenceStatus()
-	if !h.Fenced {
-		h.FencedBy = 0
-	}
-	h.Status = "ok"
-	if h.JournalPoisoned || h.Fenced {
-		h.Status = "degraded"
-	}
-	return h
-}
-
-// Health implements HealthReporter for the sharded service.  LastSeq is
-// the max across shards (shards journal independently); the overall
-// status degrades if any shard's journal is poisoned.
-func (ss *ShardedService) Health() HealthStatus {
-	h := HealthStatus{Role: "primary", Status: "ok"}
+// Health implements HealthReporter.  LastSeq is the max across shards
+// (shards journal independently); the overall status degrades if any
+// shard's journal is poisoned or the service is fenced.  Per-shard detail
+// is listed when there is more than one shard.
+func (ss *Service) Health() HealthStatus {
+	h := HealthStatus{Role: "primary", Status: "ok", PromotedAtSeq: ss.PromotedAtSeq()}
 	for i, rt := range ss.shards {
 		sh := ShardHealth{
 			Shard:           i,
@@ -107,7 +84,9 @@ func (ss *ShardedService) Health() HealthStatus {
 			h.JournalPoisoned = true
 			h.Status = "degraded"
 		}
-		h.Shards = append(h.Shards, sh)
+		if len(ss.shards) > 1 {
+			h.Shards = append(h.Shards, sh)
+		}
 	}
 	h.Workers, h.Tasks = ss.Counts()
 	h.Rounds = ss.Rounds()

@@ -457,9 +457,7 @@ func (sl *SegmentedLog) sealLocked() error {
 	// later Append (and heal's Truncate on it) until restart, whereas
 	// detaching just makes the next Append open a fresh segment.
 	err := sl.f.Close()
-	done := sl.cur
-	done.Size = atomic.LoadInt64(&sl.cur.Size)
-	sl.sealed = append(sl.sealed, done)
+	sl.sealed = append(sl.sealed, sl.activeInfo(atomic.LoadInt64(&sl.cur.Size)))
 	sl.f, sl.log = nil, nil
 	sl.cur = SegmentInfo{}
 	sl.rounds = 0
@@ -516,11 +514,16 @@ func (sl *SegmentedLog) Segments() []SegmentInfo {
 	defer sl.mu.Unlock()
 	out := append([]SegmentInfo(nil), sl.sealed...)
 	if sl.f != nil {
-		cur := sl.cur
-		cur.Size = atomic.LoadInt64(&sl.cur.Size)
-		out = append(out, cur)
+		out = append(out, sl.activeInfo(atomic.LoadInt64(&sl.cur.Size)))
 	}
 	return out
+}
+
+// activeInfo describes the active segment at the given size.  It never
+// copies sl.cur whole: the committer goroutine bumps sl.cur.Size
+// atomically while readers hold only sl.mu.
+func (sl *SegmentedLog) activeInfo(size int64) SegmentInfo {
+	return SegmentInfo{Path: sl.cur.Path, FirstSeq: sl.cur.FirstSeq, Size: size}
 }
 
 // EventsSince returns every journaled event with sequence ≥ from, read
@@ -533,9 +536,7 @@ func (sl *SegmentedLog) EventsSince(from uint64) ([]Event, error) {
 	sl.mu.Lock()
 	segs := append([]SegmentInfo(nil), sl.sealed...)
 	if sl.f != nil {
-		cur := sl.cur
-		cur.Size = sl.curBase + sl.log.committedBytes()
-		segs = append(segs, cur)
+		segs = append(segs, sl.activeInfo(sl.curBase+sl.log.committedBytes()))
 	}
 	sl.mu.Unlock()
 

@@ -47,9 +47,9 @@ type Server struct {
 	closing atomic.Bool // single-flight guard on POST /v1/rounds
 }
 
-// Backend is what the HTTP layer needs from a market service.  Service (one
-// market) and ShardedService (N shard markets behind one API) both satisfy
-// it, so `mbaserve -shards N` serves the exact same routes.
+// Backend is what the HTTP layer needs from a market service.  Service
+// satisfies it at every shard count, so `mbaserve -shards N` serves the
+// exact same routes.
 type Backend interface {
 	// Submit validates, applies and (if configured) journals one event.
 	Submit(Event) (Event, error)
@@ -135,8 +135,8 @@ func NewServerWithOptions(svc Backend, opts ServerOptions) *Server {
 const EpochHeader = "X-MBA-Epoch"
 
 // Fenceable is the optional backend capability behind epoch fencing.
-// Service and ShardedService implement it; backends without it serve
-// exactly as before (no epoch header, no fencing).
+// Service implements it; backends without it serve exactly as before (no
+// epoch header, no fencing).
 type Fenceable interface {
 	// Epoch is the backend's own (journaled) replication epoch.
 	Epoch() uint64
@@ -309,8 +309,8 @@ func (s *Server) handleRemoveTask(w http.ResponseWriter, r *http.Request) {
 }
 
 // BatchSubmitter is the optional backend capability behind POST
-// /v1/batch.  Service and ShardedService both implement it; it is not
-// part of Backend so existing Backend fakes keep compiling.
+// /v1/batch.  Service implements it; it is not part of Backend so
+// existing Backend fakes keep compiling.
 type BatchSubmitter interface {
 	SubmitBatch(events []Event) ([]Event, error)
 }
@@ -405,9 +405,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // JournalStreamer is the optional backend capability behind GET
-// /v1/journal/stream (only Service with a segmented journal implements
-// it; sharded backends replicate per shard directory, not over one
-// stream).
+// /v1/journal/stream.  Service streams only as a one-shard market over a
+// segmented journal; a sharded market replicates per shard directory, not
+// over one stream.
 type JournalStreamer interface {
 	JournalEventsSince(from uint64) ([]Event, uint64, error)
 }

@@ -64,17 +64,17 @@ func (r ShardRouter) WorkerShards(specialties []int) []int {
 	return out
 }
 
-// ShardDir returns the per-shard journal/snapshot directory under a sharded
-// service's root: <dir>/shard-0003.  Each shard's SegmentedLog, snapshots
-// and CheckpointManager all live in its own subdirectory, so single-shard
-// recovery (RecoverDir on one subdirectory) never reads another shard's
-// files.
+// ShardDir returns the per-shard journal/snapshot directory under the root
+// of a market with more than one shard: <dir>/shard-0003.  Each shard's
+// SegmentedLog, snapshots and CheckpointManager all live in its own
+// subdirectory, so single-shard recovery (RecoverDir on one subdirectory)
+// never reads another shard's files.  A one-shard market keeps them in the
+// root itself, the single-market layout RecoverDir reads.
 func ShardDir(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d", shard))
 }
 
-// RecoverShardedDir recovers all shards of a sharded service's directory
-// layout: shard k is recovered independently from ShardDir(dir, k) via
+// RecoverShardedDir recovers all shards of a multi-shard directory layout: shard k is recovered independently from ShardDir(dir, k) via
 // RecoverDir (newest valid snapshot plus the journal tail).  Missing
 // subdirectories recover as empty shards, so a fresh directory boots a
 // fresh service.

@@ -89,7 +89,7 @@ func buildShardedCrashScript(seed uint64, rounds int) []crashOp {
 
 // buildShardedCrashStack assembles the mbaserve -shards recovery+serve
 // stack over dir, arming the crash hook on exactly crashShard (-1 = none).
-func buildShardedCrashStack(t *testing.T, dir string, hook CrashHook, crashShard int) *ShardedService {
+func buildShardedCrashStack(t *testing.T, dir string, hook CrashHook, crashShard int) *Service {
 	t.Helper()
 	states, _, err := RecoverShardedDir(dir, crashShardedCategories, crashShardedShards)
 	if err != nil {
@@ -129,7 +129,7 @@ func buildShardedCrashStack(t *testing.T, dir string, hook CrashHook, crashShard
 // across the reference and every crash run (both commit the same op
 // sequence, even though a crash run may skip ID numbers).
 type shardedCrashRun struct {
-	ss      *ShardedService
+	ss      *Service
 	workers []int // committed live worker IDs, ascending (IDs are monotone)
 	tasks   []int
 }
@@ -184,7 +184,7 @@ type shardedCrashFingerprint struct {
 	rounds         int
 }
 
-func fingerprintSharded(ss *ShardedService) shardedCrashFingerprint {
+func fingerprintSharded(ss *Service) shardedCrashFingerprint {
 	fp := shardedCrashFingerprint{rounds: ss.Rounds()}
 	fp.workers, fp.tasks = ss.Counts()
 	for k := 0; k < ss.NumShards(); k++ {

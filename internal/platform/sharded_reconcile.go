@@ -29,6 +29,9 @@ import "repro/internal/core"
 // position) order, dense indices are assigned first-seen, and ReconcileTake
 // breaks weight ties by ascending Ref.
 func reconcileShards(outs []*shardSolve) (dropped, refilled int) {
+	if len(outs) < 2 {
+		return 0, 0 // one market: its solver already respected every capacity
+	}
 	// Step 1: per-worker pick totals across shards.
 	type wtotal struct{ cap, picks int }
 	totals := map[int]*wtotal{}
